@@ -2,7 +2,7 @@ package repro.core
 
 import repro.index.EmbView
 import repro.ml.{Adam, Mlp, Vec}
-import repro.util.Rnd
+import repro.util.{Par, Rnd}
 
 /** Blocker training objective (paper §3.2.3 and Table 5 ablation). */
 sealed trait Objective
@@ -104,6 +104,11 @@ object Committee {
     * matcher-adapted E_Θ(x)); negatives are drawn per `cfg.negMode` from the
     * full lists (`rPool`, `sPool`) or from the actively-labeled negatives.
     * Returns the mean loss of the final epoch (for tests/monitoring).
+    *
+    * The whole sampling schedule is drawn from `rng` first, in the order of
+    * a sequential epoch → step → member loop; it never depends on member
+    * weights, so the members then train concurrently with results identical
+    * to training them one after another.
     */
   def train(c: Committee, cfg: TrainConfig,
             pos: IndexedSeq[(Array[Double], Array[Double])],
@@ -113,63 +118,78 @@ object Committee {
     require(pos.nonEmpty, "cannot train blocker with no positives")
     if (cfg.negMode == LabeledNegs) require(labeledNegs.nonEmpty, "no labeled negatives")
     val d = c.members.head.d
-    val adams = c.members.map(m => new Adam(m.u.length, cfg.lr, weightDecay = cfg.weightDecay))
-    // classification objective keeps a per-member linear head on [u; v; |u−v|]
-    val heads = c.members.indices.map { k =>
-      val g = new Rnd.Gen(Rnd.combine(0xC1A55L, k))
-      Array.fill(3 * d + 1)(0.01 * g.nextGaussian())
-    }
-    val headAdams = heads.map(h => new Adam(h.length, cfg.lr))
-
-    var lastLoss = 0.0
-    var epoch = 0
-    while (epoch < cfg.epochs) {
-      val order = rng.permutation(pos.length)
-      var off = 0
-      var epochLoss = 0.0
-      var nTerms = 0
-      while (off < pos.length) {
-        val end = math.min(off + cfg.batch, pos.length)
-        val batchPos = (off until end).map(i => pos(order(i)))
-        val b = batchPos.length
-        // shared random/labeled negative draw for this step (paper §3.2.2)
-        val (negR, negS) = cfg.negMode match {
-          case RandomNegs =>
-            (IndexedSeq.fill(b)(rPool(rng.nextInt(rPool.length))),
-             IndexedSeq.fill(b)(sPool(rng.nextInt(sPool.length))))
+    val schedule = drawSchedule(c.n, cfg, pos.length, rPool.length, sPool.length,
+                                labeledNegs.length, rng)
+    if (schedule.isEmpty) return 0.0
+    val nSteps = schedule.head.length
+    // final-epoch loss of each (member, step)
+    val lastLosses = Array.ofDim[Double](c.n, nSteps)
+    Par.foreach(c.n) { k =>
+      val member = c.members(k)
+      val adam = new Adam(member.u.length, cfg.lr, weightDecay = cfg.weightDecay)
+      // classification objective keeps a per-member linear head on [u; v; |u−v|]
+      val head = {
+        val g = new Rnd.Gen(Rnd.combine(0xC1A55L, k))
+        Array.fill(3 * d + 1)(0.01 * g.nextGaussian())
+      }
+      val headAdam = new Adam(head.length, cfg.lr)
+      for (epoch <- schedule.indices; step <- 0 until nSteps) {
+        val st = schedule(epoch)(step)
+        val batchPos = st.pos.toIndexedSeq.map(pos)
+        // each member shuffles the negative records independently —
+        // except in LabeledNegs mode, where the hard pairs stay intact
+        val (nr, ns) = cfg.negMode match {
+          case RandomNegs => (st.negR(k).toIndexedSeq.map(rPool), st.negS(k).toIndexedSeq.map(sPool))
           case LabeledNegs =>
-            val drawn = IndexedSeq.fill(b)(labeledNegs(rng.nextInt(labeledNegs.length)))
+            val drawn = st.negR(k).toIndexedSeq.map(labeledNegs)
             (drawn.map(_._1), drawn.map(_._2))
         }
-        var k = 0
-        while (k < c.n) {
-          val member = c.members(k)
-          // each member shuffles the negative records independently —
-          // except in LabeledNegs mode, where the hard pairs stay intact
-          val (nr, ns) = cfg.negMode match {
-            case RandomNegs =>
-              val pr = rng.permutation(b); val ps = rng.permutation(b)
-              (pr.toIndexedSeq.map(negR), ps.toIndexedSeq.map(negS))
-            case LabeledNegs => (negR, negS)
-          }
-          val loss = cfg.objective match {
-            case Contrastive =>
-              contrastiveStep(member, adams(k), batchPos, nr, ns, cfg.attract)
-            case Triplet =>
-              tripletStep(member, adams(k), batchPos, nr, ns, cfg.margin)
-            case Classification =>
-              classificationStep(member, adams(k), heads(k), headAdams(k), batchPos, nr, ns)
-          }
-          epochLoss += loss; nTerms += 1
-          k += 1
+        val loss = cfg.objective match {
+          case Contrastive =>
+            contrastiveStep(member, adam, batchPos, nr, ns, cfg.attract)
+          case Triplet =>
+            tripletStep(member, adam, batchPos, nr, ns, cfg.margin)
+          case Classification =>
+            classificationStep(member, adam, head, headAdam, batchPos, nr, ns)
         }
-        off = end
+        if (epoch == schedule.length - 1) lastLosses(k)(step) = loss
       }
-      lastLoss = epochLoss / math.max(1, nTerms)
-      epoch += 1
     }
-    lastLoss
+    var epochLoss = 0.0
+    for (step <- 0 until nSteps; k <- 0 until c.n) epochLoss += lastLosses(k)(step)
+    epochLoss / (nSteps * c.n)
   }
+
+  /** One mini-batch of the schedule: indices into `pos`, and per member the
+    * negative indices — into `rPool`/`sPool` for RandomNegs, into the labeled
+    * negatives (same array for both sides) for LabeledNegs.
+    */
+  private final class Step(val pos: Array[Int], val negR: Array[Array[Int]], val negS: Array[Array[Int]])
+
+  /** The sampling schedule of `train`, `epochs × steps`, drawn in the order
+    * the sequential trainer consumed `rng`: each epoch's permutation of the
+    * positives, then per step the shared negative draw (paper §3.2.2), then
+    * each member's two permutations of it.
+    */
+  private def drawSchedule(n: Int, cfg: TrainConfig, nPos: Int, nR: Int, nS: Int, nLabeled: Int,
+                           rng: Rnd.Gen): Array[Array[Step]] =
+    Array.fill(cfg.epochs) {
+      val order = rng.permutation(nPos)
+      (0 until nPos by cfg.batch).map { off =>
+        val batch = order.slice(off, math.min(off + cfg.batch, nPos))
+        val b = batch.length
+        cfg.negMode match {
+          case RandomNegs =>
+            val negR = Array.fill(b)(rng.nextInt(nR))
+            val negS = Array.fill(b)(rng.nextInt(nS))
+            val perms = Array.fill(n)((rng.permutation(b), rng.permutation(b)))
+            new Step(batch, perms.map(_._1.map(negR)), perms.map(_._2.map(negS)))
+          case LabeledNegs =>
+            val drawn = Array.fill(b)(rng.nextInt(nLabeled))
+            new Step(batch, Array.fill(n)(drawn), Array.fill(n)(drawn))
+        }
+      }.toArray
+    }
 
   private def contrastiveStep(m: Member, adam: Adam,
                               pos: IndexedSeq[(Array[Double], Array[Double])],

@@ -1,12 +1,11 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions.col
 import repro.data.ERDataset
-import repro.index.{EmbView, ExactIndex, SparkKnn}
+import repro.index.{EmbView, ExactIndex}
 import repro.rules.RulesBlocker
 import repro.text.HashEmbedding
-import repro.util.Rnd
+import repro.util.{Par, Rnd}
 import scala.collection.mutable
 
 /** Which blocking strategy feeds the candidate set (paper §4.3). */
@@ -75,11 +74,36 @@ final class Dial(spark: SparkSession, val ds: ERDataset, val cfg: DialConfig) {
   private val d = cfg.embedDim
   private val rng = new Rnd.Gen(Rnd.combine(cfg.seed, Rnd.hash64(ds.name)))
 
-  private val scalarCache = mutable.HashMap.empty[(Int, Int), Array[Double]]
+  /** Pair-feature profiles of every record of R and S, indexed by id, over
+    * one trigram dictionary. They belong to this run, not to the shared
+    * [[Embedder]], so they are freed with it.
+    */
+  private lazy val profiles: (Array[PairProfile], Array[PairProfile]) = {
+    val dict = new TrigramDict
+    def of(recs: IndexedSeq[repro.data.Rec]) = recs.map(rec => embedder.featurizer.profile(rec.attrs, dict)).toArray
+    (of(ds.r), of(ds.s))
+  }
+
+  /** Pair scalars of the whole run, keyed by [[Dial.pairKey]]. The scalars do
+    * not depend on the matcher, and CAND overlaps from round to round, so
+    * scoring, training examples, BADGE and QBC all share one cache.
+    */
+  private val scalarCache = mutable.LongMap.empty[Array[Double]]
+
+  private def computeScalars(rId: Int, sId: Int): Array[Double] =
+    embedder.featurizer.scalars(profiles._1(rId), profiles._2(sId))
 
   private def scalars(rId: Int, sId: Int): Array[Double] =
-    scalarCache.getOrElseUpdate((rId, sId),
-      embedder.featurizer.scalars(ds.rById(rId).attrs, ds.sById(sId).attrs))
+    scalarCache.getOrElseUpdate(Dial.pairKey(rId, sId), computeScalars(rId, sId))
+
+  /** Scalars of every candidate, computing the cache misses in parallel. */
+  private def candScalars(cand: IndexedSeq[CandPair]): IndexedSeq[Array[Double]] = {
+    val misses = cand.filterNot(c => scalarCache.contains(Dial.pairKey(c.rId, c.sId))).toArray
+    val computed = new Array[Array[Double]](misses.length)
+    Par.foreach(misses.length)(i => computed(i) = computeScalars(misses(i).rId, misses(i).sId))
+    misses.indices.foreach(i => scalarCache(Dial.pairKey(misses(i).rId, misses(i).sId)) = computed(i))
+    cand.map(c => scalarCache(Dial.pairKey(c.rId, c.sId)))
+  }
 
   private def trainEx(lp: LabeledPair): TrainEx =
     TrainEx(embedder.rBase(lp.rId), embedder.sBase(lp.sId),
@@ -216,22 +240,20 @@ final class Dial(spark: SparkSession, val ds: ERDataset, val cfg: DialConfig) {
 
   // -------------------------------------------------------------- scoring
 
-  private def scoreCand(matcher: Matcher, cand: IndexedSeq[CandPair]): (IndexedSeq[ScoredCand], Double) = {
+  /** Matcher probabilities of CAND, on the driver: pair scalars from the
+    * run's cache, embeddings from the [[Embedder]]'s base vectors. Equal bit
+    * for bit to `SparkKnn.scorePairs` with a [[MatcherScorer]], which
+    * recomputes both per pair.
+    */
+  private[core] def scoreCand(matcher: Matcher, cand: IndexedSeq[CandPair]): (IndexedSeq[ScoredCand], Double) = {
     if (cand.isEmpty) return (IndexedSeq.empty, 0.0)
     val t0 = System.nanoTime()
-    val candDf = {
-      import org.apache.spark.sql.types._
-      val rows = cand.map(c => org.apache.spark.sql.Row(c.rId, c.sId))
-      spark.createDataFrame(
-        spark.sparkContext.parallelize(rows.toSeq, math.max(1, cand.size / 4000)),
-        StructType(Array(StructField("rid", IntegerType, nullable = false),
-                         StructField("sid", IntegerType, nullable = false))))
+    val feats = candScalars(cand)
+    val probs = new Array[Double](cand.length)
+    Par.foreach(cand.length) { i =>
+      probs(i) = matcher.prob(embedder.rBase(cand(i).rId), embedder.sBase(cand(i).sId), feats(i))
     }
-    val rMap = ds.r.map(x => x.id -> x.attrs).toMap
-    val sMap = ds.s.map(x => x.id -> x.attrs).toMap
-    val scored = SparkKnn.scorePairs(spark, candDf, rMap, sMap, new MatcherScorer(emb, embedder.featurizer, matcher))
-      .collect().map(r => ((r.getInt(0), r.getInt(1)), r.getDouble(2))).toMap
-    val out = cand.map(c => ScoredCand(c.rId, c.sId, c.dist, scored((c.rId, c.sId))))
+    val out = cand.indices.map(i => ScoredCand(cand(i).rId, cand(i).sId, cand(i).dist, probs(i)))
     (out, (System.nanoTime() - t0) / 1e9)
   }
 
@@ -359,18 +381,23 @@ final class Dial(spark: SparkSession, val ds: ERDataset, val cfg: DialConfig) {
 }
 
 object Dial {
-  private val embedders = mutable.HashMap.empty[(String, Int, Int, Int), Embedder]
-  private val rulesCache = mutable.HashMap.empty[(String, Int, Int), IndexedSeq[(Int, Int)]]
+  private val embedders = mutable.HashMap.empty[(ERDataset, Int), Embedder]
+  private val rulesCache = mutable.HashMap.empty[ERDataset, IndexedSeq[(Int, Int)]]
 
-  /** Base embeddings are a pure function of (dataset, dim) — share across runs. */
+  /** Cache key of a record pair. */
+  private def pairKey(rId: Int, sId: Int): Long = (rId.toLong << 32) | (sId & 0xffffffffL)
+
+  /** Base embeddings are a pure function of (dataset, dim) — share across
+    * runs. Keyed by the dataset itself: two datasets of one shape from
+    * different generator seeds must not share embeddings.
+    */
   def embedderFor(ds: ERDataset, dim: Int): Embedder = synchronized {
-    embedders.getOrElseUpdate((ds.name, ds.r.size, ds.s.size, dim),
+    embedders.getOrElseUpdate((ds, dim),
       new Embedder(new HashEmbedding(dim, 42L, ds.germanToEnglish), ds))
   }
 
   /** Rule candidate sets are fixed per dataset — share across runs. */
   def rulesFor(spark: SparkSession, ds: ERDataset): IndexedSeq[(Int, Int)] = synchronized {
-    rulesCache.getOrElseUpdate((ds.name, ds.r.size, ds.s.size),
-      RulesBlocker.candidates(spark, ds))
+    rulesCache.getOrElseUpdate(ds, RulesBlocker.candidates(spark, ds))
   }
 }

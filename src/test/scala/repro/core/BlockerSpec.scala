@@ -2,6 +2,8 @@ package repro.core
 
 import repro.SparkSpec
 import repro.data.ERDataGen
+import repro.rules.RulesBlocker
+import repro.text.HashEmbedding
 
 class BlockerSpec extends SparkSpec {
   private lazy val ds = ERDataGen.amazonGoogle(scale = 0.08)
@@ -29,6 +31,21 @@ class BlockerSpec extends SparkSpec {
   test("embedderFor memoizes per dataset and dimension") {
     assert(Dial.embedderFor(ds, 32) eq embedder)
     assert(!(Dial.embedderFor(ds, 16) eq embedder))
+  }
+
+  test("embedderFor and rulesFor key by the dataset, not its shape") {
+    val a = ERDataGen.walmartAmazon(seed = 1, scale = 0.05)
+    val b = ERDataGen.walmartAmazon(seed = 2, scale = 0.05)
+    assert(a.name == b.name && a.r.size == b.r.size && a.s.size == b.s.size)
+    def same(x: Embedder, y: Embedder): Boolean =
+      x.rBase.corresponds(y.rBase)(java.util.Arrays.equals) &&
+      x.sBase.corresponds(y.sBase)(java.util.Arrays.equals)
+    val (ea, eb) = (Dial.embedderFor(a, 16), Dial.embedderFor(b, 16))
+    assert(same(ea, new Embedder(new HashEmbedding(16, 42L, a.germanToEnglish), a)))
+    assert(same(eb, new Embedder(new HashEmbedding(16, 42L, b.germanToEnglish), b)))
+    assert(!same(ea, eb))
+    assert(Dial.rulesFor(spark, a) == RulesBlocker.candidates(spark, a))
+    assert(Dial.rulesFor(spark, b) == RulesBlocker.candidates(spark, b))
   }
 
   test("buildIndexes builds one index per view with all R vectors") {

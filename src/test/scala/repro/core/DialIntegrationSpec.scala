@@ -1,7 +1,11 @@
 package repro.core
 
 import repro.SparkSpec
+import org.apache.spark.sql.Row
+import org.apache.spark.sql.types.{IntegerType, StructField, StructType}
 import repro.data.ERDataGen
+import repro.index.SparkKnn
+import repro.util.Rnd
 
 /** End-to-end mini AL runs exercising Algorithm 1 and every blocking mode. */
 class DialIntegrationSpec extends SparkSpec {
@@ -87,5 +91,32 @@ class DialIntegrationSpec extends SparkSpec {
   test("timedFindAll returns a positive duration and scales to N=4") {
     val sec = new Dial(spark, ds, fastCfg).timedFindAll(2)
     assert(sec > 0.0)
+  }
+
+  test("driver-side CAND probabilities equal SparkKnn.scorePairs with MatcherScorer bit for bit") {
+    val dial = new Dial(spark, ds, fastCfg)
+    val emb = dial.embedder
+    val matcher = new Matcher(fastCfg.embedDim, seed = 5)
+    matcher.train(dial.seedSet().map(lp => TrainEx(emb.rBase(lp.rId), emb.sBase(lp.sId),
+        emb.featurizer.scalars(ds.r(lp.rId).attrs, ds.s(lp.sId).attrs), if (lp.y) 1.0 else 0.0)),
+      epochs = 6, batch = 16, new Rnd.Gen(6))
+    val g = new Rnd.Gen(7)
+    val pairs = (ds.dups.toSeq.sorted ++ Seq.fill(500)((g.nextInt(ds.r.size), g.nextInt(ds.s.size)))).distinct
+    val cand = pairs.map { case (r, s) => CandPair(r, s, 0.0) }.toIndexedSeq
+    val schema = StructType(Array(StructField("rid", IntegerType, nullable = false),
+                                  StructField("sid", IntegerType, nullable = false)))
+    val pairDf = spark.createDataFrame(
+      spark.sparkContext.parallelize(pairs.map { case (r, s) => Row(r, s) }, 4), schema)
+    val expected = SparkKnn.scorePairs(spark, pairDf, ds.r.map(x => x.id -> x.attrs).toMap,
+        ds.s.map(x => x.id -> x.attrs).toMap, new MatcherScorer(dial.emb, emb.featurizer, matcher))
+      .collect().map(r => (r.getInt(0), r.getInt(1)) -> r.getDouble(2)).toMap
+    // the second pass is served from the run's pair cache
+    Seq(cand, cand.reverse).foreach { c =>
+      val (scored, _) = dial.scoreCand(matcher, c)
+      assert(scored.map(x => (x.rId, x.sId)) == c.map(x => (x.rId, x.sId)))
+      scored.foreach(x => assert(
+        java.lang.Double.doubleToRawLongBits(x.prob) ==
+          java.lang.Double.doubleToRawLongBits(expected((x.rId, x.sId))), s"pair (${x.rId}, ${x.sId})"))
+    }
   }
 }
