@@ -92,11 +92,11 @@ object Committee {
       negMode: NegMode = RandomNegs,
       epochs: Int = 120,
       batch: Int = 16,
-      lr: Double = 0.01,
-      margin: Double = 1.0,
-      weightDecay: Double = 0.0,
-      attract: Double = 0.0,
   )
+
+  /** Adam learning rate of the heads and the triplet margin. */
+  private val Lr = 0.01
+  private val Margin = 1.0
 
   private def simNegSq(a: Array[Double], b: Array[Double]): Double = -Vec.distSq(a, b)
 
@@ -126,13 +126,13 @@ object Committee {
     val lastLosses = Array.ofDim[Double](c.n, nSteps)
     Par.foreach(c.n) { k =>
       val member = c.members(k)
-      val adam = new Adam(member.u.length, cfg.lr, weightDecay = cfg.weightDecay)
+      val adam = new Adam(member.u.length, Lr, weightDecay = 0.0)
       // classification objective keeps a per-member linear head on [u; v; |u−v|]
       val head = {
         val g = new Rnd.Gen(Rnd.combine(0xC1A55L, k))
         Array.fill(3 * d + 1)(0.01 * g.nextGaussian())
       }
-      val headAdam = new Adam(head.length, cfg.lr)
+      val headAdam = new Adam(head.length, Lr)
       for (epoch <- schedule.indices; step <- 0 until nSteps) {
         val st = schedule(epoch)(step)
         val batchPos = st.pos.toIndexedSeq.map(pos)
@@ -146,9 +146,9 @@ object Committee {
         }
         val loss = cfg.objective match {
           case Contrastive =>
-            contrastiveStep(member, adam, batchPos, nr, ns, cfg.attract)
+            contrastiveStep(member, adam, batchPos, nr, ns)
           case Triplet =>
-            tripletStep(member, adam, batchPos, nr, ns, cfg.margin)
+            tripletStep(member, adam, batchPos, nr, ns)
           case Classification =>
             classificationStep(member, adam, head, headAdam, batchPos, nr, ns)
         }
@@ -194,9 +194,8 @@ object Committee {
   private def contrastiveStep(m: Member, adam: Adam,
                               pos: IndexedSeq[(Array[Double], Array[Double])],
                               negR: IndexedSeq[Array[Double]],
-                              negS: IndexedSeq[Array[Double]],
-                              attract: Double): Double = {
-    val (loss, gU) = contrastiveLossGrad(m, pos, negR, negS, attract)
+                              negS: IndexedSeq[Array[Double]]): Double = {
+    val (loss, gU) = contrastiveLossGrad(m, pos, negR, negS)
     adam.step(m.u, gU)
     loss
   }
@@ -207,8 +206,7 @@ object Committee {
   private[core] def contrastiveLossGrad(m: Member,
                               pos: IndexedSeq[(Array[Double], Array[Double])],
                               negR: IndexedSeq[Array[Double]],
-                              negS: IndexedSeq[Array[Double]],
-                              attract: Double = 0.0): (Double, Array[Double]) = {
+                              negS: IndexedSeq[Array[Double]]): (Double, Array[Double]) = {
     val b = pos.length
     val nb = negR.length
     // forward all distinct records once
@@ -250,14 +248,6 @@ object Committee {
           t += 1
         }
       }
-      // optional explicit alignment term λ·dist²(rp, sp): keeps pulling
-      // duplicates together after the softmax has been "won", driving the
-      // contraction of the nuisance (boilerplate) subspace to completion
-      if (attract > 0) {
-        total += attract * Vec.distSq(rp(p), sp(p))
-        // L_att = λ·dist² = −λ·sim, so dL/dsim = −λ
-        addSimGrad(-attract, rp(p), sp(p), dRp(p), dSp(p))
-      }
       val w0 = exps(0) / sum - 1.0
       addSimGrad(w0, rp(p), sp(p), dRp(p), dSp(p))
       i = 0
@@ -289,9 +279,8 @@ object Committee {
   private def tripletStep(m: Member, adam: Adam,
                           pos: IndexedSeq[(Array[Double], Array[Double])],
                           negR: IndexedSeq[Array[Double]],
-                          negS: IndexedSeq[Array[Double]],
-                          margin: Double): Double = {
-    val (loss, gU) = tripletLossGrad(m, pos, negR, negS, margin)
+                          negS: IndexedSeq[Array[Double]]): Double = {
+    val (loss, gU) = tripletLossGrad(m, pos, negR, negS, Margin)
     adam.step(m.u, gU)
     loss
   }

@@ -166,33 +166,37 @@ final class Dial(spark: SparkSession, val ds: ERDataset, val cfg: DialConfig) {
 
   // ------------------------------------------------------------- training
 
-  private def trainMatcher(t: IndexedSeq[LabeledPair], round: Int,
-                           epochs: Int): Matcher = {
+  private def trainMatcher(t: IndexedSeq[LabeledPair], round: Int): Matcher = {
     // re-initialised from "pretrained weights" every round, as in §4.2
     val m = new Matcher(d, Rnd.combine(cfg.seed, 100 + round))
-    val data = t.map(trainEx)
-    m.train(data, epochs, batch = 16, new Rnd.Gen(Rnd.combine(cfg.seed, 200 + round)),
-            trainG = cfg.trainG)
+    m.train(t.map(trainEx), cfg.matcherEpochs, batch = 16,
+            new Rnd.Gen(Rnd.combine(cfg.seed, 200 + round)), trainG = cfg.trainG)
     m
   }
 
-  private def trainCommittee(t: IndexedSeq[LabeledPair], matcher: Matcher,
-                             round: Int, n: Int, objective: Objective,
-                             negMode: NegMode): Committee = {
-    val com = Committee.init(n, d, cfg.maskP,
-      Rnd.combine(cfg.seed, 300 + round) + (if (cfg.blockerMode == SentenceBertMode) 17 else 0))
-    val g = matcher.g
-    val pos = t.filter(_.y).map(lp => (embedder.adaptedR(lp.rId, g), embedder.adaptedS(lp.sId, g)))
-    val negs = t.filterNot(_.y).map(lp => (embedder.adaptedR(lp.rId, g), embedder.adaptedS(lp.sId, g)))
-    val rPool = ds.r.indices.map(i => embedder.adaptedR(i, g))
-    val sPool = ds.s.indices.map(i => embedder.adaptedS(i, g))
-    Committee.train(com,
-      Committee.TrainConfig(objective = objective, negMode = negMode, epochs = cfg.blockerEpochs),
-      pos, rPool, sPool, negs, new Rnd.Gen(Rnd.combine(cfg.seed, 400 + round)))
+  /** A committee of `n` heads trained on T over the matcher-adapted
+    * embeddings, seeded by `initSalt`/`trainSalt` + round. When T lacks the
+    * labels the objective needs (no positives, or no negatives under
+    * `LabeledNegs`), training is skipped and the initialised members are used
+    * as they are.
+    */
+  private def trainCommittee(t: IndexedSeq[LabeledPair], matcher: Matcher, round: Int,
+                             n: Int, maskP: Double, objective: Objective, negMode: NegMode,
+                             initSalt: Int, trainSalt: Int): Committee = {
+    val com = Committee.init(n, d, maskP, Rnd.combine(cfg.seed, initSalt + round))
+    val (posT, negT) = t.partition(_.y)
+    if (posT.nonEmpty && (negMode == RandomNegs || negT.nonEmpty)) {
+      val g = matcher.g
+      def adapted(lps: IndexedSeq[LabeledPair]) =
+        lps.map(lp => (embedder.adaptedR(lp.rId, g), embedder.adaptedS(lp.sId, g)))
+      Committee.train(com, Committee.TrainConfig(objective, negMode, cfg.blockerEpochs),
+        adapted(posT), ds.r.indices.map(embedder.adaptedR(_, g)), ds.s.indices.map(embedder.adaptedS(_, g)),
+        adapted(negT), new Rnd.Gen(Rnd.combine(cfg.seed, trainSalt + round)))
+    }
     com
   }
 
-  // ------------------------------------------------------------ retrieval
+  // ------------------------------------------------------------- blocking
 
   @transient private var sDfCache: DataFrame = _
   private def sDf: DataFrame = {
@@ -200,41 +204,56 @@ final class Dial(spark: SparkSession, val ds: ERDataset, val cfg: DialConfig) {
     sDfCache
   }
 
-  /** Memoized fixed candidate sets (PairedFixed / Rules do not change). */
+  /** CAND of PairedFixed or Rules, with its retrieval seconds: it does not
+    * change from round to round, so it is computed once per run.
+    */
   private var fixedCand: Option[(IndexedSeq[CandPair], Double)] = None
 
-  private def retrieve(matcher: Matcher, committee: Option[Committee]): (IndexedSeq[CandPair], Double) = {
-    def timed(views: IndexedSeq[EmbView]): (IndexedSeq[CandPair], Double) = {
-      val idx = Blocker.buildIndexes(embedder.rBase, views)
-      val t0 = System.nanoTime()
-      val kEff = cfg.k
-      val cand = Blocker.retrieveCand(spark, ds, sDf, emb, views, idx, kEff, candSize)
-      (cand, (System.nanoTime() - t0) / 1e9)
+  private def timed[A](body: => A): (A, Double) = {
+    val t0 = System.nanoTime()
+    val a = body
+    (a, (System.nanoTime() - t0) / 1e9)
+  }
+
+  /** Probes every view's index over R with all of S; the seconds exclude
+    * building the indexes.
+    */
+  private def retrieve(views: IndexedSeq[EmbView]): (IndexedSeq[CandPair], Double) = {
+    val idx = Blocker.buildIndexes(embedder.rBase, views)
+    timed(Blocker.retrieveCand(spark, ds, sDf, emb, views, idx, cfg.k, candSize))
+  }
+
+  /** The round's CAND under `cfg.blockerMode` (paper §4.3: the baselines
+    * differ from DIAL only here), with the committee-training and retrieval
+    * seconds. `n` is the IBC committee size.
+    */
+  private def block(t: IndexedSeq[LabeledPair], matcher: Matcher, round: Int,
+                    n: Int): (IndexedSeq[CandPair], Double, Double) = {
+    def viaCommittee(size: Int, maskP: Double, objective: Objective, negMode: NegMode,
+                     initSalt: Int, trainSalt: Int) = {
+      val (com, committeeSec) =
+        timed(trainCommittee(t, matcher, round, size, maskP, objective, negMode, initSalt, trainSalt))
+      val (cand, retrieveSec) = retrieve(com.members.map(m => new MemberView(matcher.g, m): EmbView))
+      (cand, committeeSec, retrieveSec)
+    }
+    def fixed(compute: => (IndexedSeq[CandPair], Double)) = {
+      if (fixedCand.isEmpty) fixedCand = Some(compute)
+      val (cand, retrieveSec) = fixedCand.get
+      (cand, 0.0, retrieveSec)
     }
     cfg.blockerMode match {
-      case PairedFixedMode =>
-        fixedCand match {
-          case Some(c) => c
-          case None =>
-            val c = timed(IndexedSeq(new PlainView))
-            fixedCand = Some(c); c
-        }
+      case IbcMode => viaCommittee(n, cfg.maskP, cfg.objective, cfg.negMode, 300, 400)
+      // a single full-dimension head trained with the classification
+      // objective on the actively labeled data T
+      case SentenceBertMode => viaCommittee(1, 1.0, Classification, LabeledNegs, 900, 950)
       case PairedAdaptMode =>
-        timed(IndexedSeq(new ScaleView(matcher.g)))
-      case SentenceBertMode =>
-        timed(IndexedSeq(new MemberView(matcher.g, committee.get.members.head)))
-      case IbcMode =>
-        timed(committee.get.members.map(m => new MemberView(matcher.g, m): EmbView))
-      case RulesMode =>
-        fixedCand match {
-          case Some(c) => c
-          case None =>
-            val t0 = System.nanoTime()
-            val pairs = Dial.rulesFor(spark, ds)
-            val sec = (System.nanoTime() - t0) / 1e9
-            val c = (pairs.map { case (a, b) => CandPair(a, b, 0.0) }, sec)
-            fixedCand = Some(c); c
-        }
+        val (cand, retrieveSec) = retrieve(IndexedSeq(new ScaleView(matcher.g)))
+        (cand, 0.0, retrieveSec)
+      case PairedFixedMode => fixed(retrieve(IndexedSeq(new PlainView)))
+      case RulesMode => fixed {
+        val (pairs, retrieveSec) = timed(Dial.rulesFor(spark, ds))
+        (pairs.map { case (a, b) => CandPair(a, b, 0.0) }, retrieveSec)
+      }
     }
   }
 
@@ -245,17 +264,15 @@ final class Dial(spark: SparkSession, val ds: ERDataset, val cfg: DialConfig) {
     * for bit to `SparkKnn.scorePairs` with a [[MatcherScorer]], which
     * recomputes both per pair.
     */
-  private[core] def scoreCand(matcher: Matcher, cand: IndexedSeq[CandPair]): (IndexedSeq[ScoredCand], Double) = {
-    if (cand.isEmpty) return (IndexedSeq.empty, 0.0)
-    val t0 = System.nanoTime()
-    val feats = candScalars(cand)
-    val probs = new Array[Double](cand.length)
-    Par.foreach(cand.length) { i =>
-      probs(i) = matcher.prob(embedder.rBase(cand(i).rId), embedder.sBase(cand(i).sId), feats(i))
+  private[core] def scoreCand(matcher: Matcher, cand: IndexedSeq[CandPair]): (IndexedSeq[ScoredCand], Double) =
+    timed {
+      val feats = candScalars(cand)
+      val probs = new Array[Double](cand.length)
+      Par.foreach(cand.length) { i =>
+        probs(i) = matcher.prob(embedder.rBase(cand(i).rId), embedder.sBase(cand(i).sId), feats(i))
+      }
+      cand.indices.map(i => ScoredCand(cand(i).rId, cand(i).sId, cand(i).dist, probs(i)))
     }
-    val out = cand.indices.map(i => ScoredCand(cand(i).rId, cand(i).sId, cand(i).dist, probs(i)))
-    (out, (System.nanoTime() - t0) / 1e9)
-  }
 
   // ------------------------------------------------------------ selection
 
@@ -279,7 +296,18 @@ final class Dial(spark: SparkSession, val ds: ERDataset, val cfg: DialConfig) {
 
   // ------------------------------------------------------------- the loop
 
-  def run(): RunResult = {
+  /** One train matcher → block → score pass of round `round`. */
+  private def pass(t: IndexedSeq[LabeledPair], round: Int, n: Int): Dial.Pass = {
+    val (matcher, matcherSec) = timed(trainMatcher(t, round))
+    val (cand, committeeSec, retrieveSec) = block(t, matcher, round, n)
+    val (scored, scoreSec) = scoreCand(matcher, cand)
+    Dial.Pass(matcher, cand, scored, matcherSec, committeeSec, retrieveSec, scoreSec)
+  }
+
+  def run(): RunResult = loop()._1
+
+  /** [[run]], also returning the final labeled set T. */
+  private[core] def loop(): (RunResult, IndexedSeq[LabeledPair]) = {
     var t = seedSet()
     val labeledSet = mutable.LinkedHashSet.empty[(Int, Int)]
     t.foreach(lp => labeledSet += ((lp.rId, lp.sId)))
@@ -294,85 +322,45 @@ final class Dial(spark: SparkSession, val ds: ERDataset, val cfg: DialConfig) {
       val isFinal = round == totalRounds
       Console.err.println(s"[dial] ${ds.name} ${cfg.blockerMode.name} round=$round " +
         s"|T|=${t.length} |T_p|=${t.count(_.y)}")
-      val tm0 = System.nanoTime()
-      val matcher = trainMatcher(t, round, cfg.matcherEpochs)
-      val matcherSec = (System.nanoTime() - tm0) / 1e9
+      val p = pass(t, round, cfg.committeeN)
 
-      val tc0 = System.nanoTime()
-      val committee = cfg.blockerMode match {
-        case IbcMode =>
-          Some(trainCommittee(t, matcher, round, cfg.committeeN, cfg.objective, cfg.negMode))
-        case SentenceBertMode =>
-          Some(trainCommitteeSbert(t, matcher, round))
-        case _ => None
-      }
-      val committeeSec = (System.nanoTime() - tc0) / 1e9
-
-      val (cand, retrieveSec) = retrieve(matcher, committee)
-      val (scored, scoreSec) = scoreCand(matcher, cand)
-
-      val predicted = scored.filter(_.prob > 0.5).map(c => (c.rId, c.sId)).toSet
-      val recall = Metrics.candRecall(cand.map(c => (c.rId, c.sId)), ds.dups)
+      val predicted = p.scored.filter(_.prob > 0.5).map(c => (c.rId, c.sId)).toSet
+      val recall = Metrics.candRecall(p.cand.map(c => (c.rId, c.sId)), ds.dups)
       val testPRF = Metrics.testEval(ds.testPairs, predicted)
       val allPRF = Metrics.allPairs(predicted, ds.dups)
       stats += RoundStat(round, t.length, recall, testPRF.f1, allPRF.f1)
 
       if (!isFinal) {
-        val ts0 = System.nanoTime()
-        val selectable = scored.filterNot { c =>
-          labeledSet.contains((c.rId, c.sId)) || ds.testSet.contains((c.rId, c.sId))
+        val (sel, selectSec) = timed {
+          val selectable = p.scored.filterNot { c =>
+            labeledSet.contains((c.rId, c.sId)) || ds.testSet.contains((c.rId, c.sId))
+          }
+          Selectors.select(cfg.selector, selectable, cfg.budget, selectorCtx(t, p.matcher, round))
         }
-        val sel = Selectors.select(cfg.selector, selectable, cfg.budget,
-                                   selectorCtx(t, matcher, round))
-        val selectSec = (System.nanoTime() - ts0) / 1e9
         val newly = sel.map { case (a, b) => LabeledPair(a, b, ds.dups.contains((a, b))) }
         t = t ++ newly
         newly.foreach(lp => labeledSet += ((lp.rId, lp.sId)))
         // Table 9 semantics: "Selection" includes the matcher inference over
         // CAND that feeds the uncertainty scores; retrieval is pure IBC.
-        lastTimes = OpTimes(matcherSec, committeeSec, retrieveSec, scoreSec + selectSec)
+        lastTimes = OpTimes(p.matcherSec, p.committeeSec, p.retrieveSec, p.scoreSec + selectSec)
       } else {
         finalTest = testPRF; finalAll = allPRF; finalRecall = recall
-        findAllSec = retrieveSec + scoreSec
+        findAllSec = p.retrieveSec + p.scoreSec
       }
       round += 1
     }
     cleanup()
-    RunResult(cfg.blockerMode.name, ds.name, stats.toIndexedSeq, finalRecall,
-              finalTest, finalAll, lastTimes, findAllSec, t.length)
-  }
-
-  private def trainCommitteeSbert(t: IndexedSeq[LabeledPair], matcher: Matcher, round: Int): Committee = {
-    // SentenceBERT baseline: a single full-dimension head trained with the
-    // classification objective on the actively-labeled data T (see §4.3).
-    val com = Committee.init(1, d, maskP = 1.0, Rnd.combine(cfg.seed, 900 + round))
-    val g = matcher.g
-    val pos = t.filter(_.y).map(lp => (embedder.adaptedR(lp.rId, g), embedder.adaptedS(lp.sId, g)))
-    val negs = t.filterNot(_.y).map(lp => (embedder.adaptedR(lp.rId, g), embedder.adaptedS(lp.sId, g)))
-    val rPool = ds.r.indices.map(i => embedder.adaptedR(i, g))
-    val sPool = ds.s.indices.map(i => embedder.adaptedS(i, g))
-    Committee.train(com,
-      Committee.TrainConfig(objective = Classification, negMode = LabeledNegs,
-                            epochs = cfg.blockerEpochs),
-      pos, rPool, sPool, negs, new Rnd.Gen(Rnd.combine(cfg.seed, 950 + round)))
-    com
+    (RunResult(cfg.blockerMode.name, ds.name, stats.toIndexedSeq, finalRecall,
+               finalTest, finalAll, lastTimes, findAllSec, t.length), t)
   }
 
   /** One timed "find all duplicates" pass at a given committee size, after a
     * single training on the seed set (paper Table 10: testing time vs N).
     */
   def timedFindAll(n: Int): Double = {
-    val t = seedSet()
-    val matcher = trainMatcher(t, round = 1, cfg.matcherEpochs)
-    val committee = trainCommittee(t, matcher, round = 1, n, cfg.objective, cfg.negMode)
-    val views = committee.members.map(m => new MemberView(matcher.g, m): EmbView)
-    val idx = Blocker.buildIndexes(embedder.rBase, views)
-    val t0 = System.nanoTime()
-    val cand = Blocker.retrieveCand(spark, ds, sDf, emb, views, idx, cfg.k, candSize)
-    val (_, scoreSec) = scoreCand(matcher, cand)
-    val retrieveSec = (System.nanoTime() - t0) / 1e9 - scoreSec
+    val p = pass(seedSet(), round = 1, n)
     cleanup()
-    retrieveSec + scoreSec
+    p.retrieveSec + p.scoreSec
   }
 
   private def cleanup(): Unit = {
@@ -383,6 +371,11 @@ final class Dial(spark: SparkSession, val ds: ERDataset, val cfg: DialConfig) {
 object Dial {
   private val embedders = mutable.HashMap.empty[(ERDataset, Int), Embedder]
   private val rulesCache = mutable.HashMap.empty[ERDataset, IndexedSeq[(Int, Int)]]
+
+  /** What one pass of a round produced, with the seconds of its layers. */
+  private final case class Pass(matcher: Matcher, cand: IndexedSeq[CandPair],
+                                scored: IndexedSeq[ScoredCand], matcherSec: Double,
+                                committeeSec: Double, retrieveSec: Double, scoreSec: Double)
 
   /** Cache key of a record pair. */
   private def pairKey(rId: Int, sId: Int): Long = (rId.toLong << 32) | (sId & 0xffffffffL)

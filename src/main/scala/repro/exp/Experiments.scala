@@ -100,115 +100,70 @@ object Experiments {
     rows.toSeq
   }
 
-  /** Table 4: labeled vs random negatives for the committee. */
-  def table4(spark: SparkSession): Seq[String] = {
-    val variants = IndexedSeq("Labeled" -> LabeledNegs, "Random" -> RandomNegs)
-    val rows = mutable.ArrayBuffer.empty[String]
-    IndexedSeq(("recall", (r: RunResult) => r.candRecall, "Recall of CAND"),
-               ("test",   (r: RunResult) => r.testPRF.f1, "Test Evaluation"),
-               ("all",    (r: RunResult) => r.allPRF.f1,  "All Pairs Evaluation")).foreach {
-      case (metricKey, metric, title) =>
-        rows += s"-- $title --"
-        rows += f"${"Negatives"}%-10s" + PaperNumbers.dsKeys.map(k => f"$k%7s").mkString +
-                "   | paper:" + PaperNumbers.dsKeys.map(k => f"$k%7s").mkString
-        variants.foreach { case (vname, mode) =>
-          val vals = benchmarks.map { ds =>
-            metric(dialRun(spark, ds, cfgFor(ds).copy(negMode = mode)))
-          }
-          val paper = PaperNumbers.table4((vname, metricKey))
-          rows += f"$vname%-10s" + vals.map(v => f"$v%7.1f").mkString +
-                  "   |      :" + PaperNumbers.dsKeys.map(k => f"${paper(k)}%7.1f").mkString
+  /** Rows of an ablation table: per metric an optional title and a header,
+    * then per variant the metric on every benchmark dataset beside the
+    * paper's figure (looked up by variant name and metric key).
+    */
+  private def ablation(spark: SparkSession, label: String, width: Int,
+                       metrics: Seq[(String, RunResult => Double, String)],
+                       variants: Seq[(String, ERDataset => DialConfig)],
+                       paper: (String, String) => Map[String, Double]): Seq[String] = {
+    def cell(name: String) = s"%-${width}s".format(name)
+    metrics.flatMap { case (metricKey, metric, title) =>
+      (if (title.isEmpty) Nil else Seq(s"-- $title --")) ++
+        Seq(cell(label) + PaperNumbers.dsKeys.map(k => f"$k%7s").mkString +
+            "   | paper:" + PaperNumbers.dsKeys.map(k => f"$k%7s").mkString) ++
+        variants.map { case (vname, cfg) =>
+          val vals = benchmarks.map(ds => metric(dialRun(spark, ds, cfg(ds))))
+          val p = paper(vname, metricKey)
+          cell(vname) + vals.map(v => f"$v%7.1f").mkString +
+            "   |      :" + PaperNumbers.dsKeys.map(k => f"${p(k)}%7.1f").mkString
         }
     }
-    rows.toSeq
   }
 
+  private val recallM = ("recall", (r: RunResult) => r.candRecall, "Recall of CAND")
+  private val testM = ("test", (r: RunResult) => r.testPRF.f1, "Test Evaluation")
+  private val allM = ("all", (r: RunResult) => r.allPRF.f1, "All Pairs Evaluation")
+
+  /** Table 4: labeled vs random negatives for the committee. */
+  def table4(spark: SparkSession): Seq[String] =
+    ablation(spark, "Negatives", 10, Seq(recallM, testM, allM),
+      Seq("Labeled" -> LabeledNegs, "Random" -> RandomNegs).map { case (v, mode) =>
+        v -> ((ds: ERDataset) => cfgFor(ds).copy(negMode = mode)) },
+      (v, m) => PaperNumbers.table4((v, m)))
+
   /** Table 5: blocker training objective. */
-  def table5(spark: SparkSession): Seq[String] = {
-    val variants = IndexedSeq("Classification" -> Classification,
-                              "Triplet" -> Triplet, "Contrastive" -> Contrastive)
-    val rows = mutable.ArrayBuffer.empty[String]
-    IndexedSeq(("test", (r: RunResult) => r.testPRF.f1, "Test Evaluation"),
-               ("all",  (r: RunResult) => r.allPRF.f1,  "All Pairs Evaluation")).foreach {
-      case (metricKey, metric, title) =>
-        rows += s"-- $title --"
-        rows += f"${"Objective"}%-15s" + PaperNumbers.dsKeys.map(k => f"$k%7s").mkString +
-                "   | paper:" + PaperNumbers.dsKeys.map(k => f"$k%7s").mkString
-        variants.foreach { case (vname, obj) =>
-          val vals = benchmarks.map { ds =>
-            metric(dialRun(spark, ds, cfgFor(ds).copy(objective = obj)))
-          }
-          val paper = PaperNumbers.table5((vname, metricKey))
-          rows += f"$vname%-15s" + vals.map(v => f"$v%7.1f").mkString +
-                  "   |      :" + PaperNumbers.dsKeys.map(k => f"${paper(k)}%7.1f").mkString
-        }
-    }
-    rows.toSeq
-  }
+  def table5(spark: SparkSession): Seq[String] =
+    ablation(spark, "Objective", 15, Seq(testM, allM),
+      Seq("Classification" -> Classification, "Triplet" -> Triplet, "Contrastive" -> Contrastive)
+        .map { case (v, obj) => v -> ((ds: ERDataset) => cfgFor(ds).copy(objective = obj)) },
+      (v, m) => PaperNumbers.table5((v, m)))
 
   /** Table 6: candidate-set size (Small = 3·|DUPS|; Medium/Large per paper). */
   def table6(spark: SparkSession): Seq[String] = {
-    def cfgSize(ds: ERDataset, size: String): DialConfig = {
-      val base = cfgFor(ds)
-      size match {
-        case "Small"  => base.copy(candSizeOverride = Some(3 * ds.dups.size))
-        case "Medium" => if (ds.name == "Abt-Buy") base.copy(candMult = 10.0, candSizeOverride = None)
-                         else base.copy(candMult = 3.0, candSizeOverride = None)
-        case "Large"  => if (ds.name == "Abt-Buy") base.copy(candMult = 20.0, candSizeOverride = None)
-                         else base.copy(candMult = 5.0, candSizeOverride = None)
-      }
-    }
-    val rows = mutable.ArrayBuffer.empty[String]
-    IndexedSeq(("recall", (r: RunResult) => r.candRecall, "Recall"),
-               ("all",    (r: RunResult) => r.allPRF.f1,  "All Pairs Evaluation")).foreach {
-      case (metricKey, metric, title) =>
-        rows += s"-- $title --"
-        rows += f"${"CAND"}%-8s" + PaperNumbers.dsKeys.map(k => f"$k%7s").mkString +
-                "   | paper:" + PaperNumbers.dsKeys.map(k => f"$k%7s").mkString
-        IndexedSeq("Small", "Medium", "Large").foreach { size =>
-          val vals = benchmarks.map(ds => metric(dialRun(spark, ds, cfgSize(ds, size))))
-          val paper = PaperNumbers.table6((size, metricKey))
-          rows += f"$size%-8s" + vals.map(v => f"$v%7.1f").mkString +
-                  "   |      :" + PaperNumbers.dsKeys.map(k => f"${paper(k)}%7.1f").mkString
-        }
-    }
-    rows.toSeq
+    def mult(ds: ERDataset, abtBuy: Double, other: Double) =
+      cfgFor(ds).copy(candMult = if (ds.name == "Abt-Buy") abtBuy else other, candSizeOverride = None)
+    ablation(spark, "CAND", 8, Seq(recallM.copy(_3 = "Recall"), allM),
+      Seq[(String, ERDataset => DialConfig)](
+        "Small" -> (ds => cfgFor(ds).copy(candSizeOverride = Some(3 * ds.dups.size))),
+        "Medium" -> (ds => mult(ds, 10.0, 3.0)),
+        "Large" -> (ds => mult(ds, 20.0, 5.0))),
+      (v, m) => PaperNumbers.table6((v, m)))
   }
 
   /** Table 7: committee size N ∈ {1, 3, 5}. */
-  def table7(spark: SparkSession): Seq[String] = {
-    val rows = mutable.ArrayBuffer.empty[String]
-    IndexedSeq(("test", (r: RunResult) => r.testPRF.f1, "Test Evaluation"),
-               ("all",  (r: RunResult) => r.allPRF.f1,  "All Pairs Evaluation")).foreach {
-      case (metricKey, metric, title) =>
-        rows += s"-- $title --"
-        rows += f"${"N"}%-4s" + PaperNumbers.dsKeys.map(k => f"$k%7s").mkString +
-                "   | paper:" + PaperNumbers.dsKeys.map(k => f"$k%7s").mkString
-        IndexedSeq(1, 3, 5).foreach { n =>
-          val vals = benchmarks.map(ds => metric(dialRun(spark, ds, cfgFor(ds).copy(committeeN = n))))
-          val paper = PaperNumbers.table7((n, metricKey))
-          rows += f"$n%-4d" + vals.map(v => f"$v%7.1f").mkString +
-                  "   |      :" + PaperNumbers.dsKeys.map(k => f"${paper(k)}%7.1f").mkString
-        }
-    }
-    rows.toSeq
-  }
+  def table7(spark: SparkSession): Seq[String] =
+    ablation(spark, "N", 4, Seq(testM, allM),
+      Seq(1, 3, 5).map(n => n.toString -> ((ds: ERDataset) => cfgFor(ds).copy(committeeN = n))),
+      (v, m) => PaperNumbers.table7((v.toInt, m)))
 
   /** Table 8: example-selection strategies (all-pairs F1). */
-  def table8(spark: SparkSession): Seq[String] = {
-    val strategies = IndexedSeq[Strategy](RandomSel, GreedySel, Partition2, Partition4,
-                                          QbcSel, BadgeSel, UncertaintySel)
-    val rows = mutable.ArrayBuffer.empty[String]
-    rows += f"${"Method"}%-13s" + PaperNumbers.dsKeys.map(k => f"$k%7s").mkString +
-            "   | paper:" + PaperNumbers.dsKeys.map(k => f"$k%7s").mkString
-    strategies.foreach { st =>
-      val vals = benchmarks.map(ds => dialRun(spark, ds, cfgFor(ds).copy(selector = st)).allPRF.f1)
-      val paper = PaperNumbers.table8(st.name)
-      rows += f"${st.name}%-13s" + vals.map(v => f"$v%7.1f").mkString +
-              "   |      :" + PaperNumbers.dsKeys.map(k => f"${paper(k)}%7.1f").mkString
-    }
-    rows.toSeq
-  }
+  def table8(spark: SparkSession): Seq[String] =
+    ablation(spark, "Method", 13, Seq(allM.copy(_3 = "")),
+      Seq[Strategy](RandomSel, GreedySel, Partition2, Partition4, QbcSel, BadgeSel, UncertaintySel)
+        .map(st => st.name -> ((ds: ERDataset) => cfgFor(ds).copy(selector = st))),
+      (v, _) => PaperNumbers.table8(v))
 
   /** Table 9: time per operation in the final AL round of DIAL. */
   def table9(spark: SparkSession): Seq[String] = {
@@ -245,6 +200,11 @@ object Experiments {
     }
     rows.toSeq
   }
+
+  /** Every table runner, by paper table number. */
+  val tables: Map[Int, SparkSession => Seq[String]] = Map(
+    1 -> table1 _, 2 -> table2 _, 3 -> table3 _, 4 -> table4 _, 5 -> table5 _,
+    6 -> table6 _, 7 -> table7 _, 8 -> table8 _, 9 -> table9 _, 10 -> table10 _)
 
   def printTable(title: String, rows: Seq[String]): Unit = {
     println(s"\n==== $title ====")

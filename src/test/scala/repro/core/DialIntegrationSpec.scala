@@ -1,5 +1,7 @@
 package repro.core
 
+import java.nio.ByteBuffer
+import java.security.MessageDigest
 import repro.SparkSpec
 import org.apache.spark.sql.Row
 import org.apache.spark.sql.types.{IntegerType, StructField, StructType}
@@ -53,11 +55,45 @@ class DialIntegrationSpec extends SparkSpec {
     assert(r.roundStats.map(_.candRecall).distinct.size == 1)
   }
 
+  /** SHA-256 (first 8 bytes) of the raw bits of a run's metrics, not timings. */
+  private def digest(r: RunResult): String = {
+    val buf = ByteBuffer.allocate(8 * (5 * r.roundStats.length + 8))
+    def prf(x: PRF): Unit = { buf.putLong(x.tp); buf.putLong(x.fp); buf.putLong(x.fn) }
+    r.roundStats.foreach { s =>
+      buf.putLong(s.round.toLong); buf.putLong(s.nLabeled.toLong)
+      Seq(s.candRecall, s.testF1, s.allF1).foreach(x => buf.putLong(java.lang.Double.doubleToRawLongBits(x)))
+    }
+    buf.putLong(java.lang.Double.doubleToRawLongBits(r.candRecall))
+    prf(r.testPRF); prf(r.allPRF)
+    buf.putLong(r.nLabeled.toLong)
+    MessageDigest.getInstance("SHA-256").digest(buf.array()).take(8).map(b => f"$b%02x").mkString
+  }
+
+  // Recorded before the blocking modes shared one round function; two rounds
+  // exercise the fixed-CAND memo and SentenceBERT's per-round retraining.
+  private val goldenRuns: Map[BlockerMode, String] = Map(
+    IbcMode -> "075ad55a744b0fa6", PairedFixedMode -> "e865d9b8b554134e",
+    PairedAdaptMode -> "bd6feffeed39ab69", SentenceBertMode -> "f56a7b57e320d696",
+    RulesMode -> "91644c60dfef33f4")
+
   test("all blocking modes run end-to-end") {
-    Seq(PairedAdaptMode, SentenceBertMode, RulesMode).foreach { mode =>
-      val r = new Dial(spark, ds, fastCfg.copy(blockerMode = mode)).run()
+    val actual = Seq(IbcMode, PairedFixedMode, PairedAdaptMode, SentenceBertMode, RulesMode).map { mode =>
+      val r = new Dial(spark, ds, fastCfg.copy(rounds = 2, blockerMode = mode)).run()
       assert(r.method == mode.name)
-      assert(r.roundStats.nonEmpty, mode.name)
+      assert(r.roundStats.length == 3, mode.name)
+      mode -> digest(r)
+    }
+    assert(actual.toMap == goldenRuns)
+  }
+
+  test("a seed set lacking the labels the committee objective needs still completes with gold labels") {
+    // no positives for any objective; no negatives for SentenceBERT's LabeledNegs
+    Seq(fastCfg.copy(seedPos = 0), fastCfg.copy(blockerMode = SentenceBertMode, seedNeg = 0)).foreach { cfg =>
+      val (r, t) = new Dial(spark, ds, cfg.copy(rounds = 2)).loop()
+      val seed = cfg.seedPos + cfg.seedNeg
+      assert(r.roundStats.map(_.nLabeled) == IndexedSeq(seed, seed + 16, seed + 32), cfg)
+      assert(t.length == r.nLabeled)
+      t.foreach(lp => assert(lp.y == ds.dups.contains((lp.rId, lp.sId))))
     }
   }
 
