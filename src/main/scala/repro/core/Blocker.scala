@@ -3,7 +3,7 @@ package repro.core
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.data.ERDataset
-import repro.index.{EmbView, ExactIndex, NnIndex, SparkKnn}
+import repro.index.{EmbView, ExactIndex, SparkKnn}
 import repro.text.HashEmbedding
 
 /** One candidate pair surfaced by blocking; `dist` is the smallest squared-L2
@@ -22,9 +22,9 @@ final case class CandPair(rId: Int, sId: Int, dist: Double)
 object Blocker {
 
   /** Per-member exact index over R built from driver-side base embeddings. */
-  def buildIndexes(rBase: Array[Array[Double]], views: IndexedSeq[EmbView]): IndexedSeq[NnIndex] = {
+  def buildIndexes(rBase: Array[Array[Double]], views: IndexedSeq[EmbView]): IndexedSeq[ExactIndex] = {
     val ids = Array.tabulate(rBase.length)(identity)
-    views.map(v => new ExactIndex(ids, rBase.map(v.apply)): NnIndex)
+    views.map(v => new ExactIndex(ids, rBase.map(v.apply)))
   }
 
   /** Retrieve CAND via the fused committee scan.
@@ -32,7 +32,7 @@ object Blocker {
     */
   def retrieveCand(spark: SparkSession, ds: ERDataset, sDf: DataFrame,
                    emb: HashEmbedding, views: IndexedSeq[EmbView],
-                   indexes: IndexedSeq[NnIndex], k: Int, candSize: Int): IndexedSeq[CandPair] = {
+                   indexes: IndexedSeq[ExactIndex], k: Int, candSize: Int): IndexedSeq[CandPair] = {
     val hits = SparkKnn.retrieveMulti(spark, sDf, ds.schema, emb, views, indexes, k)
     val cand = hits
       .groupBy(col("rid"), col("sid"))

@@ -5,7 +5,7 @@ import repro.data.ERDataset
 import repro.index.{EmbView, ExactIndex}
 import repro.rules.RulesBlocker
 import repro.text.HashEmbedding
-import repro.util.{Par, Rnd}
+import repro.util.{PairCache, Par, Rnd}
 import scala.collection.mutable
 
 /** Which blocking strategy feeds the candidate set (paper §4.3). */
@@ -84,26 +84,11 @@ final class Dial(spark: SparkSession, val ds: ERDataset, val cfg: DialConfig) {
     (of(ds.r), of(ds.s))
   }
 
-  /** Pair scalars of the whole run, keyed by [[Dial.pairKey]]. The scalars do
-    * not depend on the matcher, and CAND overlaps from round to round, so
+  /** Pair scalars of the whole run. They do not depend on the matcher, so
     * scoring, training examples, BADGE and QBC all share one cache.
     */
-  private val scalarCache = mutable.LongMap.empty[Array[Double]]
-
-  private def computeScalars(rId: Int, sId: Int): Array[Double] =
-    embedder.featurizer.scalars(profiles._1(rId), profiles._2(sId))
-
-  private def scalars(rId: Int, sId: Int): Array[Double] =
-    scalarCache.getOrElseUpdate(Dial.pairKey(rId, sId), computeScalars(rId, sId))
-
-  /** Scalars of every candidate, computing the cache misses in parallel. */
-  private def candScalars(cand: IndexedSeq[CandPair]): IndexedSeq[Array[Double]] = {
-    val misses = cand.filterNot(c => scalarCache.contains(Dial.pairKey(c.rId, c.sId))).toArray
-    val computed = new Array[Array[Double]](misses.length)
-    Par.foreach(misses.length)(i => computed(i) = computeScalars(misses(i).rId, misses(i).sId))
-    misses.indices.foreach(i => scalarCache(Dial.pairKey(misses(i).rId, misses(i).sId)) = computed(i))
-    cand.map(c => scalarCache(Dial.pairKey(c.rId, c.sId)))
-  }
+  private val scalars = new PairCache((rId, sId) =>
+    embedder.featurizer.scalars(profiles._1(rId), profiles._2(sId)))
 
   private def trainEx(lp: LabeledPair): TrainEx =
     TrainEx(embedder.rBase(lp.rId), embedder.sBase(lp.sId),
@@ -266,7 +251,7 @@ final class Dial(spark: SparkSession, val ds: ERDataset, val cfg: DialConfig) {
     */
   private[core] def scoreCand(matcher: Matcher, cand: IndexedSeq[CandPair]): (IndexedSeq[ScoredCand], Double) =
     timed {
-      val feats = candScalars(cand)
+      val feats = scalars.all(cand.map(c => (c.rId, c.sId)))
       val probs = new Array[Double](cand.length)
       Par.foreach(cand.length) { i =>
         probs(i) = matcher.prob(embedder.rBase(cand(i).rId), embedder.sBase(cand(i).sId), feats(i))
@@ -376,9 +361,6 @@ object Dial {
   private final case class Pass(matcher: Matcher, cand: IndexedSeq[CandPair],
                                 scored: IndexedSeq[ScoredCand], matcherSec: Double,
                                 committeeSec: Double, retrieveSec: Double, scoreSec: Double)
-
-  /** Cache key of a record pair. */
-  private def pairKey(rId: Int, sId: Int): Long = (rId.toLong << 32) | (sId & 0xffffffffL)
 
   /** Base embeddings are a pure function of (dataset, dim) — share across
     * runs. Keyed by the dataset itself: two datasets of one shape from

@@ -1,6 +1,5 @@
 package repro.forest
 
-import repro.index.PairScorer
 import repro.util.Rnd
 
 /** Bagged forest of CART trees — the learner of the paper's strongest
@@ -8,7 +7,7 @@ import repro.util.Rnd
   * remarkably well", Meduri et al.). Bootstrap per tree doubles as the
   * committee construction of Mozafari et al.'s QBC.
   */
-final class RandomForest(val trees: IndexedSeq[TreeNode]) extends Serializable {
+final class RandomForest(val trees: IndexedSeq[TreeNode]) {
 
   /** Fraction of trees voting duplicate — both the prediction probability
     * and the committee's #match/m for variance-based selection.
@@ -18,14 +17,6 @@ final class RandomForest(val trees: IndexedSeq[TreeNode]) extends Serializable {
     trees.foreach(t => if (DecisionTree.predict(t, x) > 0.5) votes += 1)
     votes.toDouble / trees.length
   }
-
-  /** QBC variance (Mozafari et al.): p(1 − p) with p = #match/m. */
-  def variance(x: Array[Double]): Double = {
-    val p = voteFraction(x)
-    p * (1.0 - p)
-  }
-
-  def predict(x: Array[Double]): Boolean = voteFraction(x) > 0.5
 }
 
 object RandomForest {
@@ -40,10 +31,4 @@ object RandomForest {
     }
     new RandomForest(trees.toIndexedSeq)
   }
-}
-
-/** Broadcastable scorer computing features in-task. */
-final class ForestScorer(forest: RandomForest) extends PairScorer {
-  override def prob(rAttrs: Seq[String], sAttrs: Seq[String]): Double =
-    forest.voteFraction(SimFeatures.features(rAttrs, sAttrs))
 }

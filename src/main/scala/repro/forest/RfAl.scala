@@ -1,11 +1,9 @@
 package repro.forest
 
-import org.apache.spark.sql.{Row, SparkSession}
-import org.apache.spark.sql.types._
+import org.apache.spark.sql.SparkSession
 import repro.core.{Dial, DialConfig, LabeledPair, Metrics, PRF, RunResult, RoundStat, OpTimes}
 import repro.data.ERDataset
-import repro.index.SparkKnn
-import repro.util.Rnd
+import repro.util.{PairCache, Par, Rnd}
 import scala.collection.mutable
 
 /** The Random-Forest + QBC-via-bootstrap active-learning baseline
@@ -18,34 +16,27 @@ object RfAl {
   def run(spark: SparkSession, ds: ERDataset,
           rounds: Int = 4, budget: Int = 128, nTrees: Int = 20,
           seed: Long = 7): RunResult = {
-    val rng = new Rnd.Gen(Rnd.combine(seed, Rnd.hash64(ds.name + "#rf")))
     val cand = Dial.rulesFor(spark, ds)
-    val candSet = cand.toSet
     val dial = new Dial(spark, ds, DialConfig(seed = seed)) // shared seed-set sampler
     var t = dial.seedSet()
     val labeled = mutable.LinkedHashSet.empty[(Int, Int)]
     t.foreach(lp => labeled += ((lp.rId, lp.sId)))
 
-    val featCache = mutable.HashMap.empty[(Int, Int), Array[Double]]
-    def feat(rId: Int, sId: Int): Array[Double] =
-      featCache.getOrElseUpdate((rId, sId),
-        SimFeatures.features(ds.rById(rId).attrs, ds.sById(sId).attrs))
+    val features = new PairCache((rId, sId) =>
+      SimFeatures.features(ds.rById(rId).attrs, ds.sById(sId).attrs))
 
     def train(data: IndexedSeq[LabeledPair], roundSeed: Long): RandomForest =
-      RandomForest.fit(data.map(lp => feat(lp.rId, lp.sId)),
+      RandomForest.fit(data.map(lp => features(lp.rId, lp.sId)),
                        data.map(lp => if (lp.y) 1.0 else 0.0), nTrees, roundSeed)
 
-    /** Distributed vote fractions over the whole candidate set. */
-    def score(forest: RandomForest): Map[(Int, Int), Double] = {
-      val rows = cand.map { case (a, b) => Row(a, b) }
-      val df = spark.createDataFrame(
-        spark.sparkContext.parallelize(rows.toSeq, math.max(1, cand.size / 20000)),
-        StructType(Array(StructField("rid", IntegerType, nullable = false),
-                         StructField("sid", IntegerType, nullable = false))))
-      val rMap = ds.r.map(x => x.id -> x.attrs).toMap
-      val sMap = ds.s.map(x => x.id -> x.attrs).toMap
-      SparkKnn.scorePairs(spark, df, rMap, sMap, new ForestScorer(forest))
-        .collect().map(r => ((r.getInt(0), r.getInt(1)), r.getDouble(2))).toMap
+    /** Vote fractions over the whole candidate set, in `cand` order, on the
+      * driver, in parallel over pairs, from the run's feature cache.
+      */
+    def score(forest: RandomForest): Array[Double] = {
+      val feats = features.all(cand)
+      val probs = new Array[Double](cand.length)
+      Par.foreach(cand.length)(i => probs(i) = forest.voteFraction(feats(i)))
+      probs
     }
 
     val stats = mutable.ArrayBuffer.empty[RoundStat]
@@ -58,7 +49,7 @@ object RfAl {
       val t0 = System.nanoTime()
       val probs = score(forest)
       val sec = (System.nanoTime() - t0) / 1e9
-      val predicted = probs.collect { case (pair, p) if p > 0.5 => pair }.toSet
+      val predicted = cand.indices.collect { case i if probs(i) > 0.5 => cand(i) }.toSet
       val allPRF = Metrics.allPairs(predicted, ds.dups)
       val testPRF = Metrics.testEval(ds.testPairs, predicted)
       stats += RoundStat(round, t.length,
@@ -66,11 +57,11 @@ object RfAl {
       if (isFinal) {
         finalAll = allPRF; finalTest = testPRF; findAllSec = sec
       } else {
-        val selectable = cand.filterNot(p => labeled.contains(p) || ds.testSet.contains(p))
-        val byVariance = selectable.sortBy { p =>
-          val pr = probs(p); -(pr * (1.0 - pr))
+        val selectable = cand.indices.filterNot(i => labeled.contains(cand(i)) || ds.testSet.contains(cand(i)))
+        val byVariance = selectable.sortBy { i =>
+          val pr = probs(i); -(pr * (1.0 - pr))
         }
-        val sel = byVariance.take(budget)
+        val sel = byVariance.take(budget).map(cand)
         val newly = sel.map { case (a, b) => LabeledPair(a, b, ds.dups.contains((a, b))) }
         t = t ++ newly
         newly.foreach(lp => labeled += ((lp.rId, lp.sId)))

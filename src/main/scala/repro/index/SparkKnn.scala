@@ -42,7 +42,7 @@ object SparkKnn {
     */
   def retrieveMulti(spark: SparkSession, sDf: DataFrame, attrCols: Seq[String],
                     emb: HashEmbedding, views: IndexedSeq[EmbView],
-                    indexes: IndexedSeq[NnIndex], k: Int): DataFrame = {
+                    indexes: IndexedSeq[ExactIndex], k: Int): DataFrame = {
     require(views.length == indexes.length, "view/index count mismatch")
     import org.apache.spark.sql.functions.col
     val bcEmb = spark.sparkContext.broadcast(emb)

@@ -41,36 +41,27 @@ object JedaiPipelines {
     else if (ds.schema.contains("description")) "description"
     else ds.schema.head
 
-  def schemaBased(spark: SparkSession, ds: ERDataset): RunResult = {
-    val t0 = System.nanoTime()
-    val attrs = Seq(keyAttr(ds))
-    val pairs = TokenBlocking.pairsWithCbs(spark, ds, attrs)
-    val scoredDf = TokenBlocking.withJaccard(spark, ds, pairs, attrs)
-      .filter(col("jac") >= grid.head)
-    val scored = collectScored(scoredDf)
-    val (th, prf) = bestThreshold(scored, ds.dups)
-    val sec = (System.nanoTime() - t0) / 1e9
-    val predicted = scored.collect { case (p, j) if j >= th => p }.toSet
-    val testPRF = Metrics.testEval(ds.testPairs, predicted)
-    val recall = Metrics.candRecall(scored.map(_._1), ds.dups)
-    RunResult("JedAI:Schema-based", ds.name,
-      IndexedSeq(RoundStat(1, 0, recall, testPRF.f1, prf.f1)),
-      recall, testPRF, prf, OpTimes(0, 0, 0, 0), sec, 0)
-  }
+  def schemaBased(spark: SparkSession, ds: ERDataset): RunResult =
+    pipeline(spark, ds, "JedAI:Schema-based", Seq(keyAttr(ds)), _.filter(col("jac") >= grid.head))
 
-  def schemaAgnostic(spark: SparkSession, ds: ERDataset): RunResult = {
+  def schemaAgnostic(spark: SparkSession, ds: ERDataset): RunResult =
+    pipeline(spark, ds, "JedAI:Schema-agnostic", ds.schema, MetaBlocking.weightedEdgePruning)
+
+  /** Token blocking over `attrs`, Jaccard scoring of the co-blocked pairs,
+    * `keep` over the scored (rid, sid, cbs, jac) table, then the threshold
+    * grid search; the whole workflow is timed.
+    */
+  private def pipeline(spark: SparkSession, ds: ERDataset, method: String, attrs: Seq[String],
+                       keep: DataFrame => DataFrame): RunResult = {
     val t0 = System.nanoTime()
-    val attrs = ds.schema
     val pairs = TokenBlocking.pairsWithCbs(spark, ds, attrs)
-    val pruned = MetaBlocking.weightedEdgePruning(pairs)
-    val scoredDf = TokenBlocking.withJaccard(spark, ds, pruned, attrs)
-    val scored = collectScored(scoredDf)
+    val scored = collectScored(keep(TokenBlocking.withJaccard(spark, ds, pairs, attrs)))
     val (th, prf) = bestThreshold(scored, ds.dups)
     val sec = (System.nanoTime() - t0) / 1e9
     val predicted = scored.collect { case (p, j) if j >= th => p }.toSet
     val testPRF = Metrics.testEval(ds.testPairs, predicted)
     val recall = Metrics.candRecall(scored.map(_._1), ds.dups)
-    RunResult("JedAI:Schema-agnostic", ds.name,
+    RunResult(method, ds.name,
       IndexedSeq(RoundStat(1, 0, recall, testPRF.f1, prf.f1)),
       recall, testPRF, prf, OpTimes(0, 0, 0, 0), sec, 0)
   }

@@ -12,7 +12,7 @@ import org.apache.spark.sql.functions._
   */
 object MetaBlocking {
 
-  /** WEP over a (rid, sid, cbs) edge table. */
+  /** WEP over an edge table with a `cbs` weight column. */
   def weightedEdgePruning(pairs: DataFrame): DataFrame = {
     val mean = pairs.agg(avg(col("cbs"))).head().getDouble(0)
     pairs.filter(col("cbs") > mean)

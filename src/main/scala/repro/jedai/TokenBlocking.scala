@@ -12,13 +12,14 @@ import repro.text.Tokenizer
   */
 object TokenBlocking {
 
-  private val tokenizeUdf = udf((s: String) => Tokenizer.tokens(Option(s).getOrElse("")).distinct)
+  private val tokenizeUdf = udf((s: String) => Tokenizer.tokens(Option(s).getOrElse("")))
 
-  /** (id, token) over the given attributes (distinct per record). */
+  /** (id, token) over the given attributes, distinct per record; a
+    * row-local projection, so the table keeps the row order of `df`.
+    */
   def tokenTable(df: DataFrame, attrs: Seq[String]): DataFrame = {
     val toks = attrs.map(a => tokenizeUdf(col(a)))
-    df.select(col("id"), explode(flatten(array(toks: _*))).as("token"))
-      .distinct()
+    df.select(col("id"), explode(array_distinct(flatten(array(toks: _*)))).as("token"))
   }
 
   /** Candidate pairs with CBS weight: (rid, sid, cbs). */
@@ -35,8 +36,8 @@ object TokenBlocking {
     tokenTable(df, attrs).groupBy("id").agg(count(lit(1)).as("ntok"))
 
   /** Jaccard similarity of full-record token sets for each candidate pair:
-    * (rid, sid, jac). `pairs` must carry (rid, sid, cbs) where cbs is the
-    * shared-token count over the same attribute set.
+    * (rid, sid, cbs, jac). `pairs` must carry (rid, sid, cbs) where cbs is
+    * the shared-token count over the same attribute set.
     */
   def withJaccard(spark: SparkSession, ds: ERDataset, pairs: DataFrame,
                   attrs: Seq[String]): DataFrame = {
@@ -46,6 +47,6 @@ object TokenBlocking {
       .withColumnRenamed("ntok", "sn")
     pairs.join(rc, "rid").join(sc, "sid")
       .withColumn("jac", col("cbs") / (col("rn") + col("sn") - col("cbs")))
-      .select("rid", "sid", "jac")
+      .select("rid", "sid", "cbs", "jac")
   }
 }

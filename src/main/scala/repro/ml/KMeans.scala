@@ -2,12 +2,9 @@ package repro.ml
 
 import repro.util.Rnd
 
-/** k-means with k-means++ seeding (Arthur & Vassilvitskii), driver-side.
-  *
-  * Used in two places, mirroring the paper's dependencies:
-  *  - BADGE example selection, which seeds k-means++ on gradient embeddings
-  *    and takes the chosen seeds as the query batch;
-  *  - the IVF index's coarse quantiser (our FAISS substitute).
+/** k-means++ seeding (Arthur & Vassilvitskii), driver-side: BADGE example
+  * selection seeds k-means++ on gradient embeddings and takes the chosen
+  * seeds as the query batch.
   */
 object KMeans {
 
@@ -43,44 +40,5 @@ object KMeans {
       c += 1
     }
     chosen
-  }
-
-  /** Lloyd iterations from k-means++ seeds; returns (centroids, assignment). */
-  def fit(points: IndexedSeq[Array[Double]], k: Int, seed: Long,
-          iters: Int = 15): (Array[Array[Double]], Array[Int]) = {
-    val kk = math.min(k, points.length)
-    var cents = ppSeeds(points, kk, seed).map(i => points(i).clone())
-    val assign = new Array[Int](points.length)
-    var it = 0
-    var changed = true
-    while (it < iters && changed) {
-      changed = false
-      var i = 0
-      while (i < points.length) {
-        var best = 0; var bestD = Double.MaxValue
-        var c = 0
-        while (c < kk) {
-          val d = Vec.distSq(points(i), cents(c))
-          if (d < bestD) { bestD = d; best = c }
-          c += 1
-        }
-        if (assign(i) != best || it == 0) { assign(i) = best; changed = true }
-        i += 1
-      }
-      val sums = Array.fill(kk)(Vec.zeros(points.head.length))
-      val counts = new Array[Int](kk)
-      i = 0
-      while (i < points.length) {
-        Vec.axpyI(sums(assign(i)), 1.0, points(i))
-        counts(assign(i)) += 1
-        i += 1
-      }
-      cents = Array.tabulate(kk) { c =>
-        if (counts(c) == 0) cents(c) // keep empty cluster's centroid
-        else { Vec.scaleI(sums(c), 1.0 / counts(c)); sums(c) }
-      }
-      it += 1
-    }
-    (cents, assign)
   }
 }

@@ -3,7 +3,7 @@ package repro.rules
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.data.ERDataset
-import repro.text.Tokenizer
+import repro.jedai.TokenBlocking
 
 /** Hand-crafted blocking rules — the `Rules` baseline of the paper.
   *
@@ -22,12 +22,6 @@ import repro.text.Tokenizer
   */
 object RulesBlocker {
 
-  private val tokenizeUdf = udf((s: String) => Tokenizer.tokens(Option(s).getOrElse("")).distinct)
-
-  /** (id, token) table of distinct tokens in one attribute. */
-  def tokenTable(df: DataFrame, attr: String): DataFrame =
-    df.select(col("id"), explode(tokenizeUdf(col(attr))).as("token"))
-
   /** Pairs sharing at least `minOverlap` distinct tokens of `attr`, with the
     * shared count. Columns: rid, sid, cnt. When `maxDfFrac` < 1, tokens
     * appearing in more than that fraction of all records are treated as
@@ -37,8 +31,8 @@ object RulesBlocker {
     */
   def overlapPairs(rDf: DataFrame, sDf: DataFrame, attr: String, minOverlap: Int,
                    maxDfFrac: Double = 1.0): DataFrame = {
-    var rt = tokenTable(rDf, attr).withColumnRenamed("id", "rid")
-    var st = tokenTable(sDf, attr).withColumnRenamed("id", "sid")
+    var rt = TokenBlocking.tokenTable(rDf, Seq(attr)).withColumnRenamed("id", "rid")
+    var st = TokenBlocking.tokenTable(sDf, Seq(attr)).withColumnRenamed("id", "sid")
     if (maxDfFrac < 1.0) {
       val total = rDf.count() + sDf.count()
       val df = rt.select(col("rid").as("id"), col("token"))
@@ -57,8 +51,8 @@ object RulesBlocker {
   /** Pairs sharing a digit-bearing token (model numbers, years …). */
   def digitTokenPairs(rDf: DataFrame, sDf: DataFrame, attr: String): DataFrame = {
     val digit = (t: DataFrame) => t.filter(col("token").rlike("[0-9]"))
-    val rt = digit(tokenTable(rDf, attr)).withColumnRenamed("id", "rid")
-    val st = digit(tokenTable(sDf, attr)).withColumnRenamed("id", "sid")
+    val rt = digit(TokenBlocking.tokenTable(rDf, Seq(attr))).withColumnRenamed("id", "rid")
+    val st = digit(TokenBlocking.tokenTable(sDf, Seq(attr))).withColumnRenamed("id", "sid")
     rt.join(st, "token").select("rid", "sid").distinct()
   }
 

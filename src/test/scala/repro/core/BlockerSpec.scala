@@ -10,7 +10,7 @@ class BlockerSpec extends SparkSpec {
   private lazy val embedder = Dial.embedderFor(ds, 32)
 
   test("PairFeatures scalars are bounded similarity values") {
-    val s = PairFeatures.scalars(Seq("a b c"), Seq("a b d"))
+    val s = new PairFeaturizer(Map.empty).scalars(Seq("a b c"), Seq("a b d"))
     assert(s.length == PairFeatures.nScalar)
     assert(s.forall(v => v >= 0.0 && v <= 1.0))
     assert(s(0) == 0.5) // token jaccard {a,b,c} vs {a,b,d}

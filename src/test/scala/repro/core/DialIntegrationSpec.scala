@@ -1,7 +1,5 @@
 package repro.core
 
-import java.nio.ByteBuffer
-import java.security.MessageDigest
 import repro.SparkSpec
 import org.apache.spark.sql.Row
 import org.apache.spark.sql.types.{IntegerType, StructField, StructType}
@@ -55,20 +53,6 @@ class DialIntegrationSpec extends SparkSpec {
     assert(r.roundStats.map(_.candRecall).distinct.size == 1)
   }
 
-  /** SHA-256 (first 8 bytes) of the raw bits of a run's metrics, not timings. */
-  private def digest(r: RunResult): String = {
-    val buf = ByteBuffer.allocate(8 * (5 * r.roundStats.length + 8))
-    def prf(x: PRF): Unit = { buf.putLong(x.tp); buf.putLong(x.fp); buf.putLong(x.fn) }
-    r.roundStats.foreach { s =>
-      buf.putLong(s.round.toLong); buf.putLong(s.nLabeled.toLong)
-      Seq(s.candRecall, s.testF1, s.allF1).foreach(x => buf.putLong(java.lang.Double.doubleToRawLongBits(x)))
-    }
-    buf.putLong(java.lang.Double.doubleToRawLongBits(r.candRecall))
-    prf(r.testPRF); prf(r.allPRF)
-    buf.putLong(r.nLabeled.toLong)
-    MessageDigest.getInstance("SHA-256").digest(buf.array()).take(8).map(b => f"$b%02x").mkString
-  }
-
   // Recorded before the blocking modes shared one round function; two rounds
   // exercise the fixed-CAND memo and SentenceBERT's per-round retraining.
   private val goldenRuns: Map[BlockerMode, String] = Map(
@@ -81,7 +65,7 @@ class DialIntegrationSpec extends SparkSpec {
       val r = new Dial(spark, ds, fastCfg.copy(rounds = 2, blockerMode = mode)).run()
       assert(r.method == mode.name)
       assert(r.roundStats.length == 3, mode.name)
-      mode -> digest(r)
+      mode -> RunDigest(r)
     }
     assert(actual.toMap == goldenRuns)
   }

@@ -149,10 +149,11 @@ class MatcherSpec extends AnyFunSuite {
   test("MatcherScorer agrees with direct prob computation") {
     val emb = new repro.text.HashEmbedding(d = d, seed = 42)
     val m = new Matcher(d, seed = 17)
-    val scorer = new MatcherScorer(emb, PairFeatures.plain, m)
+    val featurizer = new PairFeaturizer(Map.empty)
+    val scorer = new MatcherScorer(emb, featurizer, m)
     val rA = Seq("zorvex kx100 red")
     val sA = Seq("zorvex kx100 dark red")
-    val direct = m.prob(emb.recordVec(rA), emb.recordVec(sA), PairFeatures.scalars(rA, sA))
+    val direct = m.prob(emb.recordVec(rA), emb.recordVec(sA), featurizer.scalars(rA, sA))
     assert(math.abs(scorer.prob(rA, sA) - direct) < 1e-12)
   }
 }

@@ -64,49 +64,13 @@ class NnIndexSpec extends AnyFunSuite {
     assert(res.head._1 == 17 && res.head._2 == 0.0)
   }
 
-  test("IvfIndex with nprobe = nlist is exact") {
-    val vecs = randomPoints(150, 6, 6)
-    val ivf = new IvfIndex(Array.tabulate(150)(identity), vecs, nlist = 8, nprobe = 8, seed = 1)
-    val ex = new ExactIndex(Array.tabulate(150)(identity), vecs)
-    val g = new Rnd.Gen(7)
-    (1 to 10).foreach { _ =>
-      val q = Array.fill(6)(g.nextGaussian())
-      assert(ivf.search(q, 3).map(_._1).toSeq == ex.search(q, 3).map(_._1).toSeq)
-    }
-  }
-
-  test("IvfIndex with small nprobe achieves good-but-possibly-partial recall") {
-    val vecs = randomPoints(500, 8, 8)
-    val ivf = new IvfIndex(Array.tabulate(500)(identity), vecs, nlist = 16, nprobe = 4, seed = 2)
-    val ex = new ExactIndex(Array.tabulate(500)(identity), vecs)
-    val g = new Rnd.Gen(9)
-    var hits = 0; var total = 0
-    (1 to 50).foreach { _ =>
-      val q = Array.fill(8)(g.nextGaussian())
-      val approx = ivf.search(q, 5).map(_._1).toSet
-      val truth = ex.search(q, 5).map(_._1).toSet
-      hits += truth.count(approx.contains); total += truth.size
-    }
-    val recall = hits.toDouble / total
-    assert(recall > 0.5, s"IVF recall $recall")
-    assert(recall <= 1.0)
-  }
-
-  test("IvfIndex search distances ascend and index size is consistent") {
-    val vecs = randomPoints(100, 5, 10)
-    val ivf = new IvfIndex(Array.tabulate(100)(identity), vecs, nlist = 10, nprobe = 3, seed = 3)
-    assert(ivf.size == 100)
-    val res = ivf.search(Array.fill(5)(0.2), 10)
-    assert(res.map(_._2).toSeq == res.map(_._2).sorted.toSeq)
-  }
-
   test("indexes serialise for broadcast") {
     val vecs = randomPoints(20, 4, 11)
-    val idx: NnIndex = new ExactIndex(Array.tabulate(20)(identity), vecs)
+    val idx = new ExactIndex(Array.tabulate(20)(identity), vecs)
     val bos = new java.io.ByteArrayOutputStream()
     new java.io.ObjectOutputStream(bos).writeObject(idx)
     val back = new java.io.ObjectInputStream(
-      new java.io.ByteArrayInputStream(bos.toByteArray)).readObject().asInstanceOf[NnIndex]
+      new java.io.ByteArrayInputStream(bos.toByteArray)).readObject().asInstanceOf[ExactIndex]
     val q = Array.fill(4)(0.5)
     assert(back.search(q, 3).toSeq == idx.search(q, 3).toSeq)
   }

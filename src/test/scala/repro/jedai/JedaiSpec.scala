@@ -3,6 +3,7 @@ package repro.jedai
 import org.apache.spark.sql.Row
 import org.apache.spark.sql.types._
 import repro.{Oracle, SparkSpec}
+import repro.core.RunDigest
 import repro.data.ERDataGen
 import repro.text.Tokenizer
 
@@ -82,6 +83,16 @@ class JedaiSpec extends SparkSpec {
     val rp = JedaiPipelines.schemaBased(spark, wa)
     val rc = JedaiPipelines.schemaBased(spark, da)
     assert(rp.allPRF.f1 < rc.allPRF.f1, s"products ${rp.allPRF.f1} vs citations ${rc.allPRF.f1}")
+  }
+
+  test("both pipelines match their golden digests on citations and products") {
+    // recorded before the two pipelines shared one body
+    val actual = for (ds <- Seq(da, wa); (name, run) <- Seq(
+        "schemaBased" -> JedaiPipelines.schemaBased _, "schemaAgnostic" -> JedaiPipelines.schemaAgnostic _))
+      yield s"${ds.name}/$name" -> RunDigest(run(spark, ds))
+    assert(actual.toMap == Map(
+      "DBLP-ACM/schemaBased" -> "c4d56f7f7a88daba", "DBLP-ACM/schemaAgnostic" -> "e676ccf2eeb13300",
+      "Walmart-Amazon/schemaBased" -> "08346a343e86e320", "Walmart-Amazon/schemaAgnostic" -> "f9716abd97b504d8"))
   }
 
   test("keyAttr picks the textual key") {

@@ -5,6 +5,7 @@ import org.apache.spark.sql.types._
 import repro.{Oracle, SparkSpec}
 import repro.core.Metrics
 import repro.data.ERDataGen
+import repro.jedai.TokenBlocking
 import repro.text.Tokenizer
 
 class RulesBlockerSpec extends SparkSpec {
@@ -14,7 +15,7 @@ class RulesBlockerSpec extends SparkSpec {
 
   test("tokenTable emits distinct normalised tokens per record") {
     val df = wa.rDF(spark)
-    val toks = RulesBlocker.tokenTable(df, "title").collect()
+    val toks = TokenBlocking.tokenTable(df, Seq("title")).collect()
       .map(r => (r.getInt(0), r.getString(1)))
     val byId = toks.groupBy(_._1)
     wa.r.take(10).foreach { rec =>
