@@ -103,7 +103,9 @@ object Committee {
   /** Train every member on duplicate pairs `pos` (embeddings are the frozen
     * matcher-adapted E_Θ(x)); negatives are drawn per `cfg.negMode` from the
     * full lists (`rPool`, `sPool`) or from the actively-labeled negatives.
-    * Returns the mean loss of the final epoch (for tests/monitoring).
+    * Returns the mean loss of the final epoch (for tests/monitoring); throws
+    * `IllegalStateException` at the end of the first epoch in which a
+    * member's loss is NaN or infinite.
     *
     * The whole sampling schedule is drawn from `rng` first, in the order of
     * a sequential epoch → step → member loop; it never depends on member
@@ -133,6 +135,7 @@ object Committee {
         Array.fill(3 * d + 1)(0.01 * g.nextGaussian())
       }
       val headAdam = new Adam(head.length, Lr)
+      var memberEpochLoss = 0.0
       for (epoch <- schedule.indices; step <- 0 until nSteps) {
         val st = schedule(epoch)(step)
         val batchPos = st.pos.toIndexedSeq.map(pos)
@@ -154,6 +157,13 @@ object Committee {
         }
         adam.step(member.u, gU)
         if (epoch == schedule.length - 1) lastLosses(k)(step) = loss
+        memberEpochLoss += loss
+        if (step == nSteps - 1) {
+          if (!java.lang.Double.isFinite(memberEpochLoss))
+            throw new IllegalStateException(
+              s"committee training diverged: member $k, epoch ${epoch + 1} of ${schedule.length} has loss $memberEpochLoss")
+          memberEpochLoss = 0.0
+        }
       }
     }
     var epochLoss = 0.0

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.SparkSession
 import repro.data.ERDataset
 import repro.index.{EmbView, ExactIndex}
 import repro.rules.RulesBlocker
@@ -183,12 +183,6 @@ final class Dial(spark: SparkSession, val ds: ERDataset, val cfg: DialConfig) {
 
   // ------------------------------------------------------------- blocking
 
-  @transient private var sDfCache: DataFrame = _
-  private def sDf: DataFrame = {
-    if (sDfCache == null) { sDfCache = ds.sDF(spark).cache(); sDfCache.count() }
-    sDfCache
-  }
-
   /** CAND of PairedFixed or Rules, with its retrieval seconds: it does not
     * change from round to round, so it is computed once per run.
     */
@@ -200,12 +194,13 @@ final class Dial(spark: SparkSession, val ds: ERDataset, val cfg: DialConfig) {
     (a, (System.nanoTime() - t0) / 1e9)
   }
 
-  /** Probes every view's index over R with all of S; the seconds exclude
+  /** Probes every view's index over R with all of S, on the driver from the
+    * cached S base embeddings ([[Blocker.probe]]); the seconds exclude
     * building the indexes.
     */
   private def retrieve(views: IndexedSeq[EmbView]): (IndexedSeq[CandPair], Double) = {
     val idx = Blocker.buildIndexes(embedder.rBase, views)
-    timed(Blocker.retrieveCand(spark, ds, sDf, emb, views, idx, cfg.k, candSize))
+    timed(Blocker.probe(embedder.sBase, views, idx, cfg.k, candSize))
   }
 
   /** The round's CAND under `cfg.blockerMode` (paper §4.3: the baselines
@@ -334,7 +329,6 @@ final class Dial(spark: SparkSession, val ds: ERDataset, val cfg: DialConfig) {
       }
       round += 1
     }
-    cleanup()
     (RunResult(cfg.blockerMode.name, ds.name, stats.toIndexedSeq, finalRecall,
                finalTest, finalAll, lastTimes, findAllSec, t.length), t)
   }
@@ -344,12 +338,7 @@ final class Dial(spark: SparkSession, val ds: ERDataset, val cfg: DialConfig) {
     */
   def timedFindAll(n: Int): Double = {
     val p = pass(seedSet(), round = 1, n)
-    cleanup()
     p.retrieveSec + p.scoreSec
-  }
-
-  private def cleanup(): Unit = {
-    if (sDfCache != null) { sDfCache.unpersist(); sDfCache = null }
   }
 }
 

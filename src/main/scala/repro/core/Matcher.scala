@@ -74,6 +74,8 @@ final class Matcher(val d: Int, seed: Long) extends Serializable {
 
   /** Mini-batch AdamW training (Eq. 6). When `trainG` is false the simulated
     * transformer stays frozen (the paper's multilingual configuration).
+    * Throws `IllegalStateException` at the end of the first epoch whose loss
+    * is NaN or infinite.
     *
     * Targets are label-smoothed (ε = 0.1): with a few hundred labels the
     * head would otherwise saturate every pair to probability 0/1, which
@@ -104,6 +106,8 @@ final class Matcher(val d: Int, seed: Long) extends Serializable {
         off = end
       }
       e += 1
+      if (!java.lang.Double.isFinite(lastEpochLoss))
+        throw new IllegalStateException(s"matcher training diverged: epoch $e of $epochs has loss $lastEpochLoss")
     }
     lastEpochLoss / math.max(1, smoothed.length)
   }

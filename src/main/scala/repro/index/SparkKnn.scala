@@ -19,7 +19,10 @@ trait PairScorer extends Serializable {
   def prob(rAttrs: Seq[String], sAttrs: Seq[String]): Double
 }
 
-/** Distributed pieces of the blocking/matching dataflow.
+/** Distributed pieces of the blocking/matching dataflow, kept as the
+  * reference forms of what the AL loop now runs on the driver
+  * (`Blocker.probe` for retrieval, `Dial`'s pair cache for scoring); tests
+  * hold the two forms equal.
   *
   * The R-side indexes are small (committee embeddings of the first list) and
   * are broadcast; the S side — the large list — is scanned with

@@ -2,8 +2,10 @@ package repro.core
 
 import repro.SparkSpec
 import repro.data.ERDataGen
+import repro.index.EmbView
 import repro.rules.RulesBlocker
 import repro.text.HashEmbedding
+import repro.util.{OnPool, Rnd}
 
 class BlockerSpec extends SparkSpec {
   private lazy val ds = ERDataGen.amazonGoogle(scale = 0.08)
@@ -87,5 +89,46 @@ class BlockerSpec extends SparkSpec {
     val oneSet = candOne.map(c => (c.rId, c.sId)).toSet
     val twoSet = candTwo.map(c => (c.rId, c.sId)).toSet
     assert(oneSet.subsetOf(twoSet))
+  }
+
+  /** Committees of `n` views of each kind: identical plain views, distinct
+    * diagonal scales, and the members of an initialised committee.
+    */
+  private def committees(n: Int): Seq[(String, IndexedSeq[EmbView])] = {
+    val rng = new Rnd.Gen(90 + n)
+    def scale() = Array.fill(32)(0.5 + rng.nextDouble())
+    Seq(
+      s"PlainView x $n" -> IndexedSeq.fill(n)(new PlainView),
+      s"ScaleView x $n" -> IndexedSeq.fill(n)(new ScaleView(scale())),
+      s"MemberView x $n" -> Committee.init(n, 32, 0.75, seed = 95 + n).members.map(m => new MemberView(scale(), m)))
+  }
+
+  private def bits(c: IndexedSeq[CandPair]) =
+    c.map(x => (x.rId, x.sId, java.lang.Double.doubleToRawLongBits(x.dist)))
+
+  test("probe equals retrieveCand element for element, distance bits included") {
+    val sDf = ds.sDF(spark).cache()
+    try {
+      for (n <- Seq(1, 3, 5); (name, views) <- committees(n); k <- Seq(1, 3, ds.r.size + 5)) {
+        val idxs = Blocker.buildIndexes(embedder.rBase, views)
+        val hits = n * ds.s.size * math.min(k, ds.r.size)
+        for (candSize <- Seq(0, 1, 50, hits + 1)) {
+          val probed = Blocker.probe(embedder.sBase, views, idxs, k, candSize)
+          val viaSpark = Blocker.retrieveCand(spark, ds, sDf, embedder.emb, views, idxs, k, candSize)
+          val what = s"$name, k = $k, candSize = $candSize"
+          assert(bits(probed) == bits(viaSpark), what)
+          assert(probed.length <= candSize, what)
+          assert(probed.map(c => (c.rId, c.sId)).distinct.length == probed.length, what)
+        }
+      }
+    } finally sDf.unpersist()
+  }
+
+  test("probe is identical at any parallelism") {
+    committees(3).foreach { case (name, views) =>
+      val idxs = Blocker.buildIndexes(embedder.rBase, views)
+      def cand() = bits(Blocker.probe(embedder.sBase, views, idxs, k = 3, candSize = 2 * ds.s.size))
+      assert(OnPool(1)(cand()) == OnPool(4)(cand()), name)
+    }
   }
 }

@@ -198,6 +198,17 @@ class CommitteeSpec extends AnyFunSuite {
     }
   }
 
+  test("training fails loudly on a NaN embedding, naming the loss") {
+    val (pos, rPool, sPool) = world(8, 80)
+    val bad = pos.updated(3, (Array.fill(d)(Double.NaN), pos(3)._2))
+    val com = Committee.init(3, d, 0.7, seed = 81)
+    val e = intercept[IllegalStateException] {
+      Committee.train(com, Committee.TrainConfig(epochs = 3), bad, rPool, sPool,
+                      IndexedSeq.empty, new Rnd.Gen(82))
+    }
+    assert(e.getMessage.contains("epoch 1 of 3 has loss NaN"), e.getMessage)
+  }
+
   test("views compose: MemberView = member ∘ scale") {
     val emb = new repro.text.HashEmbedding(d = d, seed = 42)
     val member = Committee.init(1, d, 1.0, seed = 70).members.head

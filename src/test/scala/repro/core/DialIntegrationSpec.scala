@@ -1,11 +1,13 @@
 package repro.core
 
+import java.util.concurrent.{LinkedBlockingQueue, TimeUnit}
 import repro.SparkSpec
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.Row
 import org.apache.spark.sql.types.{IntegerType, StructField, StructType}
 import repro.data.ERDataGen
 import repro.index.SparkKnn
-import repro.util.Rnd
+import repro.util.{OnPool, Rnd}
 
 /** End-to-end mini AL runs exercising Algorithm 1 and every blocking mode. */
 class DialIntegrationSpec extends SparkSpec {
@@ -68,6 +70,37 @@ class DialIntegrationSpec extends SparkSpec {
       mode -> RunDigest(r)
     }
     assert(actual.toMap == goldenRuns)
+  }
+
+  test("the IBC golden digest holds on a one-thread fork-join pool") {
+    val r = OnPool(1)(new Dial(spark, ds, fastCfg.copy(rounds = 2)).run())
+    assert(RunDigest(r) == goldenRuns(IbcMode))
+  }
+
+  test("IBC and PairedAdapt runs start no Spark job") {
+    val marker = "dial-spec-marker"
+    // one entry per job start: whether it is the marker job
+    val jobs = new LinkedBlockingQueue[java.lang.Boolean]
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        jobs.put(Option(e.properties).exists(_.getProperty(marker) != null))
+    }
+    spark.sparkContext.addSparkListener(listener)
+    try Seq(IbcMode, PairedAdaptMode).foreach { mode =>
+      new Dial(spark, ds, fastCfg.copy(blockerMode = mode)).run()
+      // listener events arrive in order: every job before the marker job is the run's
+      spark.sparkContext.setLocalProperty(marker, "1")
+      try spark.sparkContext.parallelize(Seq(1), 1).count()
+      finally spark.sparkContext.setLocalProperty(marker, null)
+      var runJobs = 0
+      var seenMarker = false
+      while (!seenMarker) {
+        val isMarker = jobs.poll(60, TimeUnit.SECONDS)
+        assert(isMarker != null, "the marker job never reached the listener")
+        if (isMarker) seenMarker = true else runJobs += 1
+      }
+      assert(runJobs == 0, s"${mode.name} started $runJobs Spark jobs")
+    } finally spark.sparkContext.removeSparkListener(listener)
   }
 
   test("a seed set lacking the labels the committee objective needs still completes with gold labels") {

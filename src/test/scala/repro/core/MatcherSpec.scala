@@ -103,6 +103,18 @@ class MatcherSpec extends AnyFunSuite {
     assert(m2.g.exists(_ != 1.0))
   }
 
+  test("training fails loudly on a NaN embedding, naming the loss") {
+    val data = (1 to 20).map { i =>
+      val er = randomVec()
+      if (i == 7) er(3) = Double.NaN
+      TrainEx(er, randomVec(), randomScalars(), (i % 2).toDouble)
+    }
+    val e = intercept[IllegalStateException] {
+      new Matcher(d, seed = 14).train(data, epochs = 3, batch = 8, new Rnd.Gen(15))
+    }
+    assert(e.getMessage.contains("epoch 1 of 3 has loss NaN"), e.getMessage)
+  }
+
   test("training is deterministic in seeds") {
     val rng = new Rnd.Gen(11)
     val data = (1 to 30).map { _ =>
